@@ -138,6 +138,9 @@ type Store struct {
 	live         int // slots minus tombstones
 	byRegion     map[Region][]int
 	byIngredient map[flavor.ID][]int
+	// agg holds each region's running totals, World's pooling every
+	// live recipe; see regionAgg.
+	agg [numRegions]regionAgg
 
 	// persist, when set, receives every mutation before the in-memory
 	// state changes (write-through): a failed write leaves the corpus
@@ -163,12 +166,16 @@ type Store struct {
 
 // NewStore creates an empty store bound to an ingredient catalog.
 func NewStore(catalog *flavor.Catalog) *Store {
-	return &Store{
+	s := &Store{
 		catalog:      catalog,
 		byRegion:     make(map[Region][]int),
 		byIngredient: make(map[flavor.ID][]int),
 		wtok:         make(chan struct{}, 1),
 	}
+	for r := range s.agg {
+		s.agg[r].freq = make([]int32, catalog.Len())
+	}
+	return s
 }
 
 // SetBackend attaches a persistence backend. Subsequent mutations
@@ -291,6 +298,56 @@ func (v *View) Regions() []Region { return v.s.regionsLocked() }
 // safe to retain past the callback.
 func (v *View) BuildCuisine(r Region) *Cuisine { return v.s.buildCuisineLocked(r) }
 
+// RegionSummary returns the region's running totals in O(1).
+func (v *View) RegionSummary(r Region) RegionSummary {
+	a := v.s.aggLocked(r)
+	return RegionSummary{Recipes: a.recipes, UniqueIngredients: a.unique, SizeSum: a.sizeSum}
+}
+
+// TopIngredients returns the region's k most used ingredients in the
+// order Cuisine.TopIngredients gives, in O(catalog·k) without building
+// the cuisine.
+func (v *View) TopIngredients(r Region, k int) []flavor.ID {
+	t := newTopK(k)
+	for id, n := range v.s.aggLocked(r).freq {
+		if n > 0 {
+			t.offer(flavor.ID(id), int(n))
+		}
+	}
+	return t.ids
+}
+
+// CategoryUsage is Store.CategoryUsage against this snapshot.
+func (v *View) CategoryUsage(r Region) []float64 { return v.s.categoryUsageLocked(r) }
+
+// RegionPage returns the IDs of the region's live recipes at positions
+// [offset, offset+limit) of its ascending-ID order (World: of every
+// live recipe). A region's page is a slice of its posting list, so do
+// not mutate it; World walks the slots only until the page is full.
+func (v *View) RegionPage(r Region, offset, limit int) []int {
+	offset, limit = max(offset, 0), max(limit, 0)
+	if r != World {
+		ids := v.s.byRegion[r]
+		lo := min(offset, len(ids))
+		return ids[lo : lo+min(limit, len(ids)-lo)]
+	}
+	var out []int
+	for i := range v.s.recipes {
+		if len(out) == limit {
+			break
+		}
+		if v.s.recipes[i].Deleted {
+			continue
+		}
+		if offset > 0 {
+			offset--
+			continue
+		}
+		out = append(out, i)
+	}
+	return out
+}
+
 // forEachInRegionLocked iterates live recipes; callers hold s.mu.
 func (s *Store) forEachInRegionLocked(r Region, fn func(*Recipe)) {
 	if r == World {
@@ -375,21 +432,90 @@ func (s *Store) Remove(id int) (uint64, error) {
 }
 
 // indexLocked adds rec's ID to the region and ingredient posting
-// lists. Lists are copy-on-write: readers that fetched a list under
-// the shared lock keep a consistent (if stale) array.
+// lists and rec to its region's and World's aggregates. Lists are
+// copy-on-write: readers that fetched a list under the shared lock keep
+// a consistent (if stale) array.
 func (s *Store) indexLocked(rec *Recipe) {
 	s.byRegion[rec.Region] = insertSorted(s.byRegion[rec.Region], rec.ID)
 	for _, ing := range rec.Ingredients {
 		s.byIngredient[ing] = insertSorted(s.byIngredient[ing], rec.ID)
 	}
+	s.aggregateLocked(rec, +1)
 }
 
-// unindexLocked removes rec's ID from every posting list it is on.
+// unindexLocked removes rec's ID from every posting list it is on and
+// rec from its region's and World's aggregates.
 func (s *Store) unindexLocked(rec *Recipe) {
 	s.byRegion[rec.Region] = removeSorted(s.byRegion[rec.Region], rec.ID)
 	for _, ing := range rec.Ingredients {
 		s.byIngredient[ing] = removeSorted(s.byIngredient[ing], rec.ID)
 	}
+	s.aggregateLocked(rec, -1)
+}
+
+// regionAgg is one region's running totals over its live recipes: the
+// sums the paper's per-region tables are made of. indexLocked and
+// unindexLocked keep it current at O(ingredients) per mutation, so no
+// read has to scan the region for them.
+type regionAgg struct {
+	recipes int
+	// sizeSum is the total recipe size, which is also the number of
+	// recipe-ingredient incidences.
+	sizeSum int
+	// freq[id] counts the recipes using ingredient id; unique counts
+	// its nonzero entries.
+	freq   []int32
+	unique int
+	// category[c] counts the incidences whose ingredient is in
+	// category c.
+	category [flavor.NumCategories]int
+}
+
+// aggregateLocked adds (d = +1) or removes (d = -1) rec's contribution
+// to its region's and World's aggregates. Callers hold s.mu exclusively.
+func (s *Store) aggregateLocked(rec *Recipe, d int) {
+	for _, a := range [2]*regionAgg{&s.agg[rec.Region], &s.agg[World]} {
+		a.recipes += d
+		a.sizeSum += d * len(rec.Ingredients)
+		for _, ing := range rec.Ingredients {
+			old := a.freq[ing]
+			a.freq[ing] = old + int32(d)
+			if old == 0 || a.freq[ing] == 0 {
+				a.unique += d
+			}
+			a.category[s.catalog.Ingredient(ing).Category] += d
+		}
+	}
+}
+
+// noAgg is the (empty) aggregate of a region outside the table.
+var noAgg regionAgg
+
+// aggLocked returns r's aggregate; callers hold s.mu.
+func (s *Store) aggLocked(r Region) *regionAgg {
+	if !r.Valid() {
+		return &noAgg
+	}
+	return &s.agg[r]
+}
+
+// RegionSummary is a region's running totals: its Table 1 row and the
+// size total behind its mean recipe size.
+type RegionSummary struct {
+	Recipes           int
+	UniqueIngredients int
+	// SizeSum is the total size of the region's recipes.
+	SizeSum int
+}
+
+// MeanSize returns the mean recipe size, 0 for an empty region. It is
+// bit-identical to the cuisine's SizeHistogram().Mean(): both divide
+// the same integer total by the same count.
+func (r RegionSummary) MeanSize() float64 {
+	if r.Recipes == 0 {
+		return 0
+	}
+	return float64(r.SizeSum) / float64(r.Recipes)
 }
 
 // insertSorted returns an ascending list with id added (idempotent).
@@ -508,13 +634,12 @@ func (s *Store) Regions() []Region {
 }
 
 func (s *Store) regionsLocked() []Region {
-	out := make([]Region, 0, len(s.byRegion))
-	for r := range s.byRegion {
-		if len(s.byRegion[r]) > 0 {
+	var out []Region
+	for r := Region(0); r < World; r++ {
+		if s.agg[r].recipes > 0 {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -558,7 +683,9 @@ type Cuisine struct {
 // BuildCuisine assembles the analytical view of a region; World pools
 // every recipe. The view is a self-contained snapshot: later store
 // mutations do not alter it (though its RecipeIDs then describe the
-// corpus as of the build).
+// corpus as of the build). It costs O(region recipes) for RecipeIDs and
+// Sizes plus O(catalog) for the frequencies, which come from the
+// region's running aggregate rather than from its recipes.
 func (s *Store) BuildCuisine(r Region) *Cuisine {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -566,24 +693,25 @@ func (s *Store) BuildCuisine(r Region) *Cuisine {
 }
 
 func (s *Store) buildCuisineLocked(r Region) *Cuisine {
+	a := s.aggLocked(r)
 	c := &Cuisine{
-		Region:         r,
-		IngredientFreq: make(map[flavor.ID]int),
+		Region:            r,
+		RecipeIDs:         make([]int, 0, a.recipes),
+		Sizes:             make([]int, 0, a.recipes),
+		IngredientFreq:    make(map[flavor.ID]int, a.unique),
+		UniqueIngredients: make([]flavor.ID, 0, a.unique),
 	}
 	s.forEachInRegionLocked(r, func(rec *Recipe) {
 		c.RecipeIDs = append(c.RecipeIDs, rec.ID)
 		c.Sizes = append(c.Sizes, rec.Size())
-		for _, id := range rec.Ingredients {
-			c.IngredientFreq[id]++
+	})
+	// Ascending-ID iteration yields UniqueIngredients already sorted.
+	for id, n := range a.freq {
+		if n > 0 {
+			c.IngredientFreq[flavor.ID(id)] = int(n)
+			c.UniqueIngredients = append(c.UniqueIngredients, flavor.ID(id))
 		}
-	})
-	c.UniqueIngredients = make([]flavor.ID, 0, len(c.IngredientFreq))
-	for id := range c.IngredientFreq {
-		c.UniqueIngredients = append(c.UniqueIngredients, id)
 	}
-	sort.Slice(c.UniqueIngredients, func(i, j int) bool {
-		return c.UniqueIngredients[i] < c.UniqueIngredients[j]
-	})
 	return c
 }
 
@@ -615,40 +743,57 @@ func (c *Cuisine) FrequencyVector() []int {
 // TopIngredients returns the k most frequently used ingredients in
 // descending frequency order (ties break by ID for determinism).
 func (c *Cuisine) TopIngredients(k int) []flavor.ID {
-	ids := append([]flavor.ID(nil), c.UniqueIngredients...)
-	sort.Slice(ids, func(i, j int) bool {
-		fi, fj := c.IngredientFreq[ids[i]], c.IngredientFreq[ids[j]]
-		if fi != fj {
-			return fi > fj
-		}
-		return ids[i] < ids[j]
-	})
-	if k > len(ids) {
-		k = len(ids)
+	t := newTopK(k)
+	for _, id := range c.UniqueIngredients {
+		t.offer(id, c.IngredientFreq[id])
 	}
-	return ids[:k]
+	return t.ids
+}
+
+// topK keeps the k most used ingredients offered so far, by descending
+// count with ties broken by ascending ID. Offers must come in
+// ascending-ID order, so a newcomer ranks after every kept equal.
+type topK struct {
+	ids []flavor.ID
+	n   []int
+}
+
+func newTopK(k int) *topK {
+	k = max(k, 0)
+	return &topK{ids: make([]flavor.ID, 0, k), n: make([]int, 0, k)}
+}
+
+func (t *topK) offer(id flavor.ID, n int) {
+	i := sort.Search(len(t.n), func(i int) bool { return t.n[i] < n })
+	if i == cap(t.ids) {
+		return
+	}
+	if len(t.ids) < cap(t.ids) {
+		t.ids, t.n = append(t.ids, 0), append(t.n, 0)
+	}
+	copy(t.ids[i+1:], t.ids[i:])
+	copy(t.n[i+1:], t.n[i:])
+	t.ids[i], t.n[i] = id, n
 }
 
 // CategoryUsage computes, for each of the 21 categories, the fraction of
 // ingredient slots (recipe-ingredient incidences) in the cuisine that
-// fall in the category — the rows of the Fig 2 heatmap.
+// fall in the category — the rows of the Fig 2 heatmap. It reads the
+// region's running aggregate: O(categories), independent of the corpus.
 func (s *Store) CategoryUsage(r Region) []float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	counts := make([]int, flavor.NumCategories)
-	total := 0
-	s.forEachInRegionLocked(r, func(rec *Recipe) {
-		for _, id := range rec.Ingredients {
-			counts[s.catalog.Ingredient(id).Category]++
-			total++
-		}
-	})
+	return s.categoryUsageLocked(r)
+}
+
+func (s *Store) categoryUsageLocked(r Region) []float64 {
+	a := s.aggLocked(r)
 	out := make([]float64, flavor.NumCategories)
-	if total == 0 {
+	if a.sizeSum == 0 {
 		return out
 	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
+	for i, c := range a.category {
+		out[i] = float64(c) / float64(a.sizeSum)
 	}
 	return out
 }

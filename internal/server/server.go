@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -364,11 +365,19 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{
 	return false
 }
 
+// writeJSON encodes v before writing anything, so a value JSON cannot
+// carry (a NaN or ±Inf statistic) answers 500 with the error envelope
+// instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
 }
 
 // --- handlers ---
@@ -535,16 +544,19 @@ type regionSummary struct {
 }
 
 func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
-	var out []regionSummary
-	for _, region := range recipedb.MajorRegions() {
-		c := s.cfg.Store.BuildCuisine(region)
-		out = append(out, regionSummary{
-			Code:        region.Code(),
-			Name:        region.Name(),
-			Recipes:     c.NumRecipes(),
-			Ingredients: c.NumUniqueIngredients(),
-		})
-	}
+	regions := recipedb.MajorRegions()
+	out := make([]regionSummary, len(regions))
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		for i, region := range regions {
+			sum := v.RegionSummary(region)
+			out[i] = regionSummary{
+				Code:        region.Code(),
+				Name:        region.Name(),
+				Recipes:     sum.Recipes,
+				Ingredients: sum.UniqueIngredients,
+			}
+		}
+	})
 	writeJSON(w, out)
 }
 
@@ -560,13 +572,20 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	c := s.cfg.Store.BuildCuisine(region)
-	top := c.TopIngredients(10)
+	var (
+		sum   recipedb.RegionSummary
+		top   []flavor.ID
+		usage []float64
+	)
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		sum = v.RegionSummary(region)
+		top = v.TopIngredients(region, 10)
+		usage = v.CategoryUsage(region)
+	})
 	topNames := make([]string, len(top))
 	for i, id := range top {
 		topNames[i] = s.catalog.Ingredient(id).Name
 	}
-	usage := s.cfg.Store.CategoryUsage(region)
 	categories := make(map[string]float64, len(usage))
 	for cat, frac := range usage {
 		if frac > 0 {
@@ -576,9 +595,9 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]interface{}{
 		"code":           region.Code(),
 		"name":           region.Name(),
-		"recipes":        c.NumRecipes(),
-		"ingredients":    c.NumUniqueIngredients(),
-		"meanRecipeSize": c.SizeHistogram().Mean(),
+		"recipes":        sum.Recipes,
+		"ingredients":    sum.UniqueIngredients,
+		"meanRecipeSize": sum.MeanSize(),
 		"topIngredients": topNames,
 		"categoryUsage":  categories,
 	})
@@ -692,19 +711,18 @@ func (s *Server) handleRecipes(w http.ResponseWriter, r *http.Request) {
 		}
 		region = reg
 	}
-	var out []recipeJSON
-	skipped := 0
-	s.cfg.Store.ForEachInRegion(region, func(rec *recipedb.Recipe) {
-		if skipped < offset {
-			skipped++
-			return
-		}
-		if len(out) < limit {
-			out = append(out, s.recipeJSON(*rec))
+	var (
+		total int
+		out   []recipeJSON
+	)
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		total = v.RegionLen(region)
+		for _, id := range v.RegionPage(region, offset, limit) {
+			out = append(out, s.recipeJSON(*v.Recipe(id)))
 		}
 	})
 	writeJSON(w, map[string]interface{}{
-		"total":   s.cfg.Store.RegionLen(region),
+		"total":   total,
 		"offset":  offset,
 		"recipes": out,
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,9 @@ import (
 	"testing"
 
 	"culinary/internal/experiments"
+	"culinary/internal/flavor"
+	"culinary/internal/httpmw"
+	"culinary/internal/recipedb"
 )
 
 // testServer builds one server over the shared 5%-scale corpus.
@@ -130,6 +134,13 @@ func TestRegionsList(t *testing.T) {
 			t.Errorf("region summary missing %q: %v", key, first)
 		}
 	}
+	for i, region := range recipedb.MajorRegions() {
+		row := arr[i].(map[string]interface{})
+		c := srv.cfg.Store.BuildCuisine(region)
+		if row["code"] != region.Code() || row["recipes"] != float64(c.NumRecipes()) || row["ingredients"] != float64(c.NumUniqueIngredients()) {
+			t.Errorf("row %d = %v, cuisine %s has %d recipes, %d ingredients", i, row, region, c.NumRecipes(), c.NumUniqueIngredients())
+		}
+	}
 }
 
 func TestRegionDetail(t *testing.T) {
@@ -151,6 +162,23 @@ func TestRegionDetail(t *testing.T) {
 	usage := body["categoryUsage"].(map[string]interface{})
 	if len(usage) == 0 {
 		t.Error("no category usage")
+	}
+	// The aggregate-served answer equals the cuisine built by a scan.
+	c := srv.cfg.Store.BuildCuisine(recipedb.Italy)
+	if body["recipes"] != float64(c.NumRecipes()) || body["ingredients"] != float64(c.NumUniqueIngredients()) ||
+		body["meanRecipeSize"] != c.SizeHistogram().Mean() {
+		t.Errorf("detail %v disagrees with cuisine (%d recipes, %d ingredients, mean %v)",
+			body, c.NumRecipes(), c.NumUniqueIngredients(), c.SizeHistogram().Mean())
+	}
+	for i, id := range c.TopIngredients(10) {
+		if top[i] != srv.catalog.Ingredient(id).Name {
+			t.Errorf("topIngredients[%d] = %v, cuisine %q", i, top[i], srv.catalog.Ingredient(id).Name)
+		}
+	}
+	for cat, frac := range srv.cfg.Store.CategoryUsage(recipedb.Italy) {
+		if got, ok := usage[flavor.Category(cat).String()]; frac > 0 && (!ok || got != frac) {
+			t.Errorf("categoryUsage[%s] = %v, want %v", flavor.Category(cat), got, frac)
+		}
 	}
 
 	code, body = do(t, h, "GET", "/api/regions/NOPE", nil)
@@ -216,6 +244,53 @@ func TestRecipesPagination(t *testing.T) {
 		if code, _ := do(t, h, "GET", "/api/recipes?"+bad, nil); code != http.StatusBadRequest {
 			t.Errorf("%s status = %d, want 400", bad, code)
 		}
+	}
+}
+
+// TestRecipesPageEdges checks pages against a walk of the region: the
+// last partial page, offsets at and past the total, and World.
+func TestRecipesPageEdges(t *testing.T) {
+	h := testHandler(t)
+	store := srv.cfg.Store
+	for _, region := range []recipedb.Region{recipedb.Italy, recipedb.World} {
+		var ids []int
+		store.ForEachInRegion(region, func(rec *recipedb.Recipe) { ids = append(ids, rec.ID) })
+		total := len(ids)
+		for _, offset := range []int{0, total - 3, total, total + 7, math.MaxInt} {
+			path := fmt.Sprintf("/api/recipes?region=%s&limit=5&offset=%d", region.Code(), offset)
+			code, body := do(t, h, "GET", path, nil)
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d (%v)", path, code, body)
+			}
+			if body["total"] != float64(total) || body["offset"] != float64(offset) {
+				t.Errorf("%s: total %v offset %v, want %d %d", path, body["total"], body["offset"], total, offset)
+			}
+			lo := min(offset, total)
+			want := ids[lo:min(lo+5, total)]
+			got, _ := body["recipes"].([]interface{})
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d recipes, want %d", path, len(got), len(want))
+			}
+			for i, r := range got {
+				if id := r.(map[string]interface{})["id"]; id != float64(want[i]) {
+					t.Errorf("%s: recipe %d is %v, want %d", path, i, id, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot carry answers 500 with
+// a parseable error envelope, not a 200 with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rr := httptest.NewRecorder()
+	writeJSON(rr, map[string]interface{}{"z": math.Inf(1)})
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rr.Code)
+	}
+	var env httpmw.Envelope
+	if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
+		t.Fatalf("body %q is not an error envelope (%v)", rr.Body.String(), err)
 	}
 }
 
