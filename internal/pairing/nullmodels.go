@@ -87,6 +87,12 @@ type NullSampler struct {
 // returns an error for degenerate cuisines (no recipes or fewer than two
 // ingredients), which cannot support any control.
 func NewNullSampler(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m Model, src *rng.Source) (*NullSampler, error) {
+	return newNullSampler(a, c, store.IngredientLists(c.RecipeIDs), m, src)
+}
+
+// newNullSampler is NewNullSampler over templates, the ingredient lists
+// of c.RecipeIDs in order.
+func newNullSampler(a *Analyzer, c *recipedb.Cuisine, templates [][]flavor.ID, m Model, src *rng.Source) (*NullSampler, error) {
 	if m < 0 || m >= numModels {
 		return nil, fmt.Errorf("pairing: invalid model %d", int(m))
 	}
@@ -103,7 +109,7 @@ func NewNullSampler(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m M
 		cuisine:   c,
 		src:       src,
 		pool:      c.UniqueIngredients,
-		templates: store.IngredientLists(c.RecipeIDs),
+		templates: templates,
 		seen:      make(map[flavor.ID]struct{}, 32),
 	}
 	switch m {
@@ -239,11 +245,21 @@ func (s *NullSampler) NullMoments(nRecipes int) (mean, std float64, scored int) 
 // observed N̄s against the model's randomized moments over nRecipes
 // draws, with the Z-score of the deviation.
 func Compare(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m Model, nRecipes int, src *rng.Source) (Result, error) {
-	sampler, err := NewNullSampler(a, store, c, m, src)
+	return CompareLists(a, c, store.IngredientLists(c.RecipeIDs), m, nRecipes, src)
+}
+
+// CompareLists is Compare over lists, the ingredient lists of
+// c.RecipeIDs in order, instead of a store. It reads no store, so a
+// caller that fetched c and lists under one Store.Read gets the answer
+// at exactly that corpus version however writes interleave with the
+// sampling. Given the lists Compare would fetch, the result is bit for
+// bit Compare's.
+func CompareLists(a *Analyzer, c *recipedb.Cuisine, lists [][]flavor.ID, m Model, nRecipes int, src *rng.Source) (Result, error) {
+	sampler, err := newNullSampler(a, c, lists, m, src)
 	if err != nil {
 		return Result{}, err
 	}
-	observed, scored := a.CuisineScore(store, c)
+	observed, scored := a.listsScore(lists)
 	if scored == 0 {
 		return Result{}, fmt.Errorf("pairing: cuisine %s has no scorable recipes", c.Region.Code())
 	}

@@ -143,8 +143,11 @@ func (a *Analyzer) sharedSym(i, j int) int32 {
 // result is false when fewer than two profiled ingredients are present,
 // in which case the score is undefined (returned as 0).
 func (a *Analyzer) RecipeScore(ids []flavor.ID) (float64, bool) {
-	// Gather profiled ingredients only.
-	prof := make([]int, 0, len(ids))
+	// Gather profiled ingredients only, on the stack: the null models
+	// call this once per draw. A recipe with more than len(buf)
+	// profiled ingredients spills to the heap through append.
+	var buf [64]int
+	prof := buf[:0]
 	for _, id := range ids {
 		if a.hasProfile[id] {
 			prof = append(prof, int(id))
@@ -194,8 +197,13 @@ func (a *Analyzer) pairSum(ids []flavor.ID) (sum int64, profiled []int) {
 // skipping recipes with undefined scores. The second result is the
 // number of scored recipes.
 func (a *Analyzer) CuisineScore(store *recipedb.Store, c *recipedb.Cuisine) (float64, int) {
+	return a.listsScore(store.IngredientLists(c.RecipeIDs))
+}
+
+// listsScore is CuisineScore over already-fetched ingredient lists.
+func (a *Analyzer) listsScore(lists [][]flavor.ID) (float64, int) {
 	var acc stats.Accumulator
-	for _, ings := range store.IngredientLists(c.RecipeIDs) {
+	for _, ings := range lists {
 		if s, ok := a.RecipeScore(ings); ok {
 			acc.Add(s)
 		}

@@ -298,6 +298,11 @@ func (v *View) Regions() []Region { return v.s.regionsLocked() }
 // safe to retain past the callback.
 func (v *View) BuildCuisine(r Region) *Cuisine { return v.s.buildCuisineLocked(r) }
 
+// IngredientLists is Store.IngredientLists against this snapshot. The
+// inner slices are never written in place, so unlike other View
+// results they may be kept, read-only, after the callback returns.
+func (v *View) IngredientLists(ids []int) [][]flavor.ID { return v.s.ingredientListsLocked(ids) }
+
 // RegionSummary returns the region's running totals in O(1).
 func (v *View) RegionSummary(r Region) RegionSummary {
 	a := v.s.aggLocked(r)
@@ -591,6 +596,10 @@ func (s *Store) Recipe(id int) Recipe {
 func (s *Store) IngredientLists(ids []int) [][]flavor.ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.ingredientListsLocked(ids)
+}
+
+func (s *Store) ingredientListsLocked(ids []int) [][]flavor.ID {
 	out := make([][]flavor.ID, len(ids))
 	for i, id := range ids {
 		out[i] = s.recipes[id].Ingredients

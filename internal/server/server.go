@@ -27,7 +27,6 @@ import (
 	"culinary/internal/recipedb"
 	"culinary/internal/recommend"
 	"culinary/internal/replica"
-	"culinary/internal/rng"
 	"culinary/internal/search"
 	"culinary/internal/storage"
 )
@@ -127,6 +126,9 @@ type Server struct {
 	// mutation or whole batch request), reported under
 	// traffic.storageUnavailable503 in /api/health.
 	storage503 atomic.Int64
+	// pairingMemo serves repeated pairing requests at an unchanged
+	// corpus version (pairing_memo.go).
+	pairingMemo pairingMemo
 }
 
 // New builds a Server and its derived indexes. A corpus that cannot
@@ -407,6 +409,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"evicted":     rcs.Evicted,
 			"invalidated": rcs.Invalidated,
 		},
+		"pairingMemo": s.pairingMemo.stats(),
 	}
 	corpusVersion := s.cfg.Store.Version()
 	body["derived"] = map[string]interface{}{
@@ -629,8 +632,7 @@ func (s *Server) handlePairing(w http.ResponseWriter, r *http.Request) {
 		}
 		model = m
 	}
-	c := s.cfg.Store.BuildCuisine(region)
-	res, err := pairing.Compare(s.cfg.Analyzer, s.cfg.Store, c, model, n, rng.New(s.cfg.Seed).Split(uint64(region)))
+	res, err := s.pairingResult(region, model, n)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return

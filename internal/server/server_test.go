@@ -24,7 +24,7 @@ var (
 	srvErr  error
 )
 
-func testHandler(t *testing.T) http.Handler {
+func testHandler(t testing.TB) http.Handler {
 	t.Helper()
 	srvOnce.Do(func() {
 		env, err := experiments.NewEnv(experiments.TestOptions())
