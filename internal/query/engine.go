@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -141,17 +143,17 @@ func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		c, err := e.bind(q)
+		pl, err := e.bind(q)
 		if err != nil {
 			return nil, err
 		}
-		p = &cachedPlan{key: key, q: q, c: c}
+		p = &cachedPlan{key: key, plan: pl}
 		e.plans.put(p)
 	}
 	var res *Result
 	var execErr error
 	e.store.Read(func(v *recipedb.View) {
-		res, execErr = e.exec(ctx, p.q, p.c, v)
+		res, execErr = e.exec(ctx, p.plan, v)
 	})
 	if execErr != nil {
 		return nil, execErr
@@ -162,26 +164,53 @@ func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) 
 	return res, nil
 }
 
-// compiledExpr is an expression with has()/category() arguments bound to
-// catalog IDs.
-type compiledExpr struct {
-	expr      Expr
-	hasIDs    map[string]flavor.ID
-	catIDs    map[string]flavor.Category
-	usesScore bool
+// plan is a bound statement lowered for execution. Everything about
+// running it that does not depend on the corpus contents is decided
+// here, once, and shared by every execution of a cached plan: the
+// expanded select list, the index candidates, the residual predicate
+// for each index choice and the ORDER BY column. It is immutable after
+// bind, so concurrent runs share it without copying.
+type plan struct {
+	q       *Query
+	items   []SelectItem // select list with '*' expanded
+	columns []string
+	aggs    []aggCol // the aggregate columns of items
+	// shapeErr is a select-list error (aggregates mixed with plain
+	// fields, a plain column that is not the GROUP BY key). exec
+	// reports it before planning the scan.
+	shapeErr error
+
+	// region is the region index a region = 'X' conjunct pins (the
+	// last such conjunct wins), World when none does; has holds the
+	// ingredient of every bare has() conjunct, in conjunct order. Which
+	// index a run walks is chosen per execution from the view's list
+	// lengths (choose).
+	region recipedb.Region
+	has    []flavor.ID
+	// residual[0] is the WHERE clause minus the conjuncts the region
+	// walk implies; residual[i+1] also drops has[i], for a walk of its
+	// posting list. nil means every candidate matches.
+	residual []predFn
+
+	// orderCol is the ORDER BY column's index in items, -1 when there
+	// is no ORDER BY or it names a column the statement does not select.
+	orderCol int
+	// matchErr is raised at the first matching row: an aggregate over
+	// a non-numeric field, or GROUP BY score without an analyzer.
+	matchErr error
 }
 
-// bind resolves function arguments and detects score usage so execution
-// never fails on a per-row basis for static reasons.
-func (e *Engine) bind(q *Query) (*compiledExpr, error) {
-	c := &compiledExpr{
-		expr:   q.Where,
-		hasIDs: make(map[string]flavor.ID),
-		catIDs: make(map[string]flavor.Category),
-	}
+// bind resolves function arguments, checks score usage and compiles the
+// plan, so execution never fails on a per-row basis for static reasons
+// it could have found here — and where the statement is wrong in a way
+// only a matching row reveals, the plan carries the error to raise.
+func (e *Engine) bind(q *Query) (*plan, error) {
+	hasIDs := make(map[string]flavor.ID)
+	catIDs := make(map[string]flavor.Category)
+	usesScore := false
 	for _, it := range q.Items {
 		if it.Field == FieldScore && !it.Star {
-			c.usesScore = true
+			usesScore = true
 		}
 	}
 	var walk func(Expr) error
@@ -203,7 +232,7 @@ func (e *Engine) bind(q *Query) (*compiledExpr, error) {
 			return walk(n.R)
 		case *FieldExpr:
 			if n.Field == FieldScore {
-				c.usesScore = true
+				usesScore = true
 			}
 			return nil
 		case *InExpr:
@@ -217,13 +246,13 @@ func (e *Engine) bind(q *Query) (*compiledExpr, error) {
 				if !ok {
 					return fmt.Errorf("%w: has(%q): unknown ingredient", ErrSemantic, n.Arg)
 				}
-				c.hasIDs[n.Arg] = id
+				hasIDs[n.Arg] = id
 			case "category":
 				cat, err := flavor.ParseCategory(n.Arg)
 				if err != nil {
 					return fmt.Errorf("%w: category(%q): unknown category", ErrSemantic, n.Arg)
 				}
-				c.catIDs[n.Arg] = cat
+				catIDs[n.Arg] = cat
 			default:
 				return fmt.Errorf("%w: unknown function %q", ErrSemantic, n.Name)
 			}
@@ -234,237 +263,168 @@ func (e *Engine) bind(q *Query) (*compiledExpr, error) {
 	if err := walk(q.Where); err != nil {
 		return nil, err
 	}
-	if c.usesScore && e.analyzer == nil {
+	if usesScore && e.analyzer == nil {
 		return nil, ErrNoScore
 	}
-	return c, nil
-}
 
-// scanPlan describes how the executor will enumerate candidate recipes.
-// The full WHERE clause is still evaluated per candidate — indexes only
-// narrow the scan.
-type scanPlan struct {
-	// region != recipedb.World pins the region index.
-	region recipedb.Region
-	// ingredient pins the ingredient inverted index when useIngredient
-	// is true.
-	ingredient    flavor.ID
-	useIngredient bool
-}
-
-// String renders the plan for EXPLAIN output.
-func (p scanPlan) describe(e *Engine, v *recipedb.View) string {
-	switch {
-	case p.useIngredient && p.region != recipedb.World:
-		return fmt.Sprintf("ingredient index scan on %q (%d candidates) with region filter %s",
-			e.catalog.Ingredient(p.ingredient).Name, len(v.IngredientRecipes(p.ingredient)), p.region.Code())
-	case p.useIngredient:
-		return fmt.Sprintf("ingredient index scan on %q (%d candidates)",
-			e.catalog.Ingredient(p.ingredient).Name, len(v.IngredientRecipes(p.ingredient)))
-	case p.region != recipedb.World:
-		return fmt.Sprintf("region index scan on %s (%d candidates)", p.region.Code(), v.RegionLen(p.region))
-	default:
-		return fmt.Sprintf("full scan (%d recipes)", v.Len())
-	}
-}
-
-// planScan inspects the top-level AND chain for indexable conjuncts: a
-// region equality and/or bare has() calls. Among available indexes the
-// executor picks the most selective candidate list. Selectivity is
-// judged against the view's snapshot, so a cached plan re-plans its
-// scan on every execution — index choice tracks corpus mutations.
-func (e *Engine) planScan(x Expr, c *compiledExpr, v *recipedb.View) scanPlan {
-	plan := scanPlan{region: recipedb.World}
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case *CompareExpr:
-			if n.Op != "=" {
-				return
-			}
-			fe, feOK := n.L.(*FieldExpr)
-			lit, litOK := n.R.(*LiteralExpr)
-			if !feOK || !litOK { // also accept 'CODE' = region
-				fe, feOK = n.R.(*FieldExpr)
-				lit, litOK = n.L.(*LiteralExpr)
-			}
-			if !feOK || !litOK || fe.Field != FieldRegion || lit.Val.Kind != KindString {
-				return
-			}
-			if r, err := recipedb.ParseRegion(strings.ToUpper(lit.Val.Str)); err == nil {
-				plan.region = r
-			}
-		case *FuncExpr:
-			// A bare has('x') conjunct implies membership: every match
-			// lies on the ingredient's posting list.
-			if n.Name != "has" {
-				return
-			}
-			id := c.hasIDs[n.Arg]
-			if !plan.useIngredient ||
-				len(v.IngredientRecipes(id)) < len(v.IngredientRecipes(plan.ingredient)) {
-				plan.ingredient, plan.useIngredient = id, true
-			}
-		case *BinaryExpr:
-			if n.Op != "and" {
-				return
-			}
-			walk(n.L)
-			walk(n.R)
+	p := &plan{q: q, region: recipedb.World, orderCol: -1}
+	var hasAgg, hasPlain bool
+	p.items, hasAgg, hasPlain = expandItems(q.Items)
+	for i, it := range p.items {
+		p.columns = append(p.columns, it.Label())
+		if it.Agg != nil {
+			p.aggs = append(p.aggs, aggCol{col: i, field: it.Field, count: *it.Agg == AggCount, star: it.Star})
 		}
 	}
-	walk(x)
-	// If both indexes apply, keep the ingredient index only when its
-	// posting list is smaller than the region bucket; region filtering
-	// still happens inside the WHERE evaluation either way.
-	if plan.useIngredient && plan.region != recipedb.World {
-		if v.RegionLen(plan.region) < len(v.IngredientRecipes(plan.ingredient)) {
-			plan.useIngredient = false
-		}
+	if hasAgg && hasPlain && q.GroupBy == nil {
+		p.shapeErr = fmt.Errorf("%w: mixing aggregates with plain fields requires GROUP BY", ErrSemantic)
 	}
-	return plan
-}
-
-// fieldValue materializes one recipe field.
-func (e *Engine) fieldValue(rec *recipedb.Recipe, f Field) (Value, error) {
-	switch f {
-	case FieldID:
-		return intVal(int64(rec.ID)), nil
-	case FieldName:
-		return stringVal(rec.Name), nil
-	case FieldRegion:
-		return stringVal(rec.Region.Code()), nil
-	case FieldSource:
-		return stringVal(rec.Source.String()), nil
-	case FieldSize:
-		return intVal(int64(rec.Size())), nil
-	case FieldScore:
-		if e.analyzer == nil {
-			return Value{}, ErrNoScore
-		}
-		s, ok := e.analyzer.RecipeScore(rec.Ingredients)
-		if !ok {
-			return floatVal(0), nil
-		}
-		return floatVal(s), nil
-	}
-	return Value{}, fmt.Errorf("%w: unknown field %d", ErrSemantic, f)
-}
-
-// eval evaluates an expression for one recipe.
-func (e *Engine) eval(c *compiledExpr, x Expr, rec *recipedb.Recipe) (Value, error) {
-	switch n := x.(type) {
-	case *LiteralExpr:
-		return n.Val, nil
-	case *FieldExpr:
-		return e.fieldValue(rec, n.Field)
-	case *FuncExpr:
-		switch n.Name {
-		case "has":
-			return boolVal(rec.Contains(c.hasIDs[n.Arg])), nil
-		case "category":
-			cat := c.catIDs[n.Arg]
-			count := 0
-			for _, id := range rec.Ingredients {
-				if e.catalog.Ingredient(id).Category == cat {
-					count++
-				}
-			}
-			return intVal(int64(count)), nil
-		}
-		return Value{}, fmt.Errorf("%w: unknown function %q", ErrSemantic, n.Name)
-	case *CompareExpr:
-		l, err := e.eval(c, n.L, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := e.eval(c, n.R, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		ok, err := compare(n.Op, l, r)
-		if err != nil {
-			return Value{}, fmt.Errorf("%w: %v", ErrSemantic, err)
-		}
-		return boolVal(ok), nil
-	case *InExpr:
-		v, err := e.eval(c, n.X, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		found := false
-		for _, lit := range n.Values {
-			ok, err := compare("=", v, lit)
-			if err != nil {
-				return Value{}, fmt.Errorf("%w: %v", ErrSemantic, err)
-			}
-			if ok {
-				found = true
+	if q.GroupBy != nil {
+		for _, it := range p.items {
+			if it.Agg == nil && it.Field != *q.GroupBy {
+				p.shapeErr = fmt.Errorf("%w: column %s is neither aggregated nor the GROUP BY key", ErrSemantic, it.Label())
 				break
 			}
 		}
-		return boolVal(found != n.Negate), nil
-	case *NotExpr:
-		v, err := e.eval(c, n.X, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Kind != KindBool {
-			return Value{}, fmt.Errorf("%w: NOT needs a boolean", ErrSemantic)
-		}
-		return boolVal(!v.Bool), nil
-	case *BinaryExpr:
-		l, err := e.eval(c, n.L, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		if l.Kind != KindBool {
-			return Value{}, fmt.Errorf("%w: %s needs boolean operands", ErrSemantic, strings.ToUpper(n.Op))
-		}
-		// Short-circuit.
-		if n.Op == "and" && !l.Bool {
-			return boolVal(false), nil
-		}
-		if n.Op == "or" && l.Bool {
-			return boolVal(true), nil
-		}
-		r, err := e.eval(c, n.R, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		if r.Kind != KindBool {
-			return Value{}, fmt.Errorf("%w: %s needs boolean operands", ErrSemantic, strings.ToUpper(n.Op))
-		}
-		if n.Op == "and" {
-			return boolVal(l.Bool && r.Bool), nil
-		}
-		return boolVal(l.Bool || r.Bool), nil
 	}
-	return Value{}, fmt.Errorf("%w: unhandled node %T", ErrSemantic, x)
+	if q.OrderBy != "" {
+		for i, label := range p.columns {
+			if strings.EqualFold(label, q.OrderBy) {
+				p.orderCol = i
+				break
+			}
+		}
+	}
+	if q.GroupBy != nil && *q.GroupBy == FieldScore && e.analyzer == nil {
+		p.matchErr = ErrNoScore
+	} else {
+		for _, it := range p.items {
+			if it.Agg != nil && !it.Star && *it.Agg != AggCount && !numericField(it.Field) {
+				p.matchErr = fmt.Errorf("%w: %s over non-numeric field %s", ErrSemantic, it.Agg, it.Field)
+				break
+			}
+		}
+	}
+
+	p.indexes(q.Where, hasIDs)
+	k := &compiler{e: e, hasIDs: hasIDs, catIDs: catIDs, region: p.region}
+	p.residual = make([]predFn, 1+len(p.has))
+	p.residual[0] = k.where(q.Where)
+	for i, id := range p.has {
+		k.ingredient, k.useIngredient = id, true
+		p.residual[i+1] = k.where(q.Where)
+	}
+	return p, nil
 }
 
-// matches applies the WHERE clause.
-func (e *Engine) matches(c *compiledExpr, rec *recipedb.Recipe) (bool, error) {
-	if c.expr == nil {
-		return true, nil
+// indexes collects the index candidates of the top-level AND chain: a
+// region equality and bare has() calls.
+func (p *plan) indexes(x Expr, hasIDs map[string]flavor.ID) {
+	switch n := x.(type) {
+	case *CompareExpr:
+		if r, ok := regionConjunct(n); ok {
+			p.region = r
+		}
+	case *FuncExpr:
+		// A bare has('x') conjunct implies membership: every match
+		// lies on the ingredient's posting list.
+		if n.Name == "has" {
+			p.has = append(p.has, hasIDs[n.Arg])
+		}
+	case *BinaryExpr:
+		if n.Op == "and" {
+			p.indexes(n.L, hasIDs)
+			p.indexes(n.R, hasIDs)
+		}
 	}
-	v, err := e.eval(c, c.expr, rec)
-	if err != nil {
-		return false, err
+}
+
+// regionConjunct recognizes region = 'CODE' (either way round) with a
+// known region code.
+func regionConjunct(n *CompareExpr) (recipedb.Region, bool) {
+	if n.Op != "=" {
+		return 0, false
 	}
-	if v.Kind != KindBool {
-		return false, fmt.Errorf("%w: WHERE clause is %s, not boolean", ErrSemantic, v.kindName())
+	fe, feOK := n.L.(*FieldExpr)
+	lit, litOK := n.R.(*LiteralExpr)
+	if !feOK || !litOK {
+		fe, feOK = n.R.(*FieldExpr)
+		lit, litOK = n.L.(*LiteralExpr)
 	}
-	return v.Bool, nil
+	if !feOK || !litOK || fe.Field != FieldRegion || lit.Val.Kind != KindString {
+		return 0, false
+	}
+	r, err := recipedb.ParseRegion(strings.ToUpper(lit.Val.Str))
+	return r, err == nil
+}
+
+// scan is how one execution enumerates candidate recipes and what it
+// still checks of each.
+type scan struct {
+	// region != recipedb.World restricts candidates to the region: its
+	// bucket is walked, or the posting list is filtered by it.
+	region recipedb.Region
+	// ingredient's posting list is walked when useIngredient is true.
+	ingredient    flavor.ID
+	useIngredient bool
+	// pred is the residual predicate; nil when the walk implies the
+	// whole WHERE clause.
+	pred predFn
+}
+
+// choose picks the index to walk against the view's snapshot, so a
+// cached plan's index choice tracks corpus mutations: the smallest
+// has() posting list, unless the region bucket is smaller still.
+func (p *plan) choose(v *recipedb.View) scan {
+	pick := -1
+	for i, id := range p.has {
+		if pick < 0 || len(v.IngredientRecipes(id)) < len(v.IngredientRecipes(p.has[pick])) {
+			pick = i
+		}
+	}
+	if pick >= 0 && p.region != recipedb.World &&
+		v.RegionLen(p.region) < len(v.IngredientRecipes(p.has[pick])) {
+		pick = -1
+	}
+	sc := scan{region: p.region, pred: p.residual[pick+1]}
+	if pick >= 0 {
+		sc.ingredient, sc.useIngredient = p.has[pick], true
+	}
+	return sc
+}
+
+// candidates is the length of the list the scan walks: an upper bound
+// on its matches.
+func (sc scan) candidates(v *recipedb.View) int {
+	if sc.useIngredient {
+		return len(v.IngredientRecipes(sc.ingredient))
+	}
+	return v.RegionLen(sc.region)
+}
+
+// describe renders the scan for EXPLAIN output.
+func (sc scan) describe(e *Engine, v *recipedb.View) string {
+	switch {
+	case sc.useIngredient && sc.region != recipedb.World:
+		return fmt.Sprintf("ingredient index scan on %q (%d candidates) with region filter %s",
+			e.catalog.Ingredient(sc.ingredient).Name, len(v.IngredientRecipes(sc.ingredient)), sc.region.Code())
+	case sc.useIngredient:
+		return fmt.Sprintf("ingredient index scan on %q (%d candidates)",
+			e.catalog.Ingredient(sc.ingredient).Name, len(v.IngredientRecipes(sc.ingredient)))
+	case sc.region != recipedb.World:
+		return fmt.Sprintf("region index scan on %s (%d candidates)", sc.region.Code(), v.RegionLen(sc.region))
+	default:
+		return fmt.Sprintf("full scan (%d recipes)", v.Len())
+	}
 }
 
 // starFields is the '*' expansion (score excluded: it is derived and
 // comparatively expensive, so it must be requested explicitly).
 var starFields = []Field{FieldID, FieldName, FieldRegion, FieldSource, FieldSize}
 
-// expandItems resolves '*' markers and reports whether any aggregate is
-// present.
-func expandItems(items []SelectItem) (out []SelectItem, hasAgg, hasPlain bool, err error) {
+// expandItems resolves '*' markers and reports whether any aggregate
+// and any plain column is present.
+func expandItems(items []SelectItem) (out []SelectItem, hasAgg, hasPlain bool) {
 	for _, it := range items {
 		switch {
 		case it.Agg != nil:
@@ -480,89 +440,68 @@ func expandItems(items []SelectItem) (out []SelectItem, hasAgg, hasPlain bool, e
 			out = append(out, it)
 		}
 	}
-	return out, hasAgg, hasPlain, nil
+	return out, hasAgg, hasPlain
 }
 
 // Exec executes a parsed query, binding it first. Callers holding a
 // statement string should prefer Run, which caches the bound plan and
 // (when enabled) the materialized result.
 func (e *Engine) Exec(q *Query) (*Result, error) {
-	c, err := e.bind(q)
+	p, err := e.bind(q)
 	if err != nil {
 		return nil, err
 	}
 	var res *Result
 	var execErr error
 	e.store.Read(func(v *recipedb.View) {
-		res, execErr = e.exec(context.Background(), q, c, v)
+		res, execErr = e.exec(context.Background(), p, v)
 	})
 	return res, execErr
 }
 
-// exec executes a bound plan against one corpus view. q and c are
-// treated as immutable, so cached plans execute concurrently without
-// copying; v pins the (version, snapshot) pair for the whole run.
-func (e *Engine) exec(ctx context.Context, q *Query, c *compiledExpr, v *recipedb.View) (*Result, error) {
-	items, hasAgg, hasPlain, err := expandItems(q.Items)
-	if err != nil {
-		return nil, err
+// exec runs a plan against one corpus view; v pins the (version,
+// snapshot) pair for the whole run.
+func (e *Engine) exec(ctx context.Context, p *plan, v *recipedb.View) (*Result, error) {
+	q := p.q
+	if p.shapeErr != nil {
+		return nil, p.shapeErr
 	}
-	if hasAgg && hasPlain && q.GroupBy == nil {
-		return nil, fmt.Errorf("%w: mixing aggregates with plain fields requires GROUP BY", ErrSemantic)
-	}
-	if q.GroupBy != nil {
-		for _, it := range items {
-			if it.Agg == nil && it.Field != *q.GroupBy {
-				return nil, fmt.Errorf("%w: column %s is neither aggregated nor the GROUP BY key", ErrSemantic, it.Label())
-			}
-		}
-	}
-
-	res := &Result{Version: v.Version}
-	for _, it := range items {
-		res.Columns = append(res.Columns, it.Label())
-	}
-
-	plan := scanPlan{region: recipedb.World}
-	if q.Where != nil {
-		plan = e.planScan(q.Where, c, v)
-	}
+	res := &Result{Columns: p.columns, Version: v.Version}
+	sc := p.choose(v)
 	if q.Explain {
 		res.Columns = []string{"plan"}
-		res.Rows = [][]Value{{stringVal(plan.describe(e, v))}}
+		res.Rows = [][]Value{{stringVal(sc.describe(e, v))}}
 		return res, nil
 	}
 
-	var execErr error
+	var err error
 	switch {
 	case q.GroupBy != nil:
-		execErr = e.execGrouped(ctx, q, c, items, plan, res, v)
-	case hasAgg:
-		execErr = e.execAggregate(ctx, q, c, items, plan, res, v)
+		err = e.execGrouped(ctx, p, sc, res, v)
+	case len(p.aggs) > 0:
+		err = e.execAggregate(ctx, p, sc, res, v)
+	case q.OrderBy != "":
+		err = e.execTopK(ctx, p, sc, res, v)
 	default:
-		execErr = e.execScan(ctx, q, c, items, plan, res, v)
+		err = e.execScan(ctx, p, sc, res, v)
 	}
-	if execErr != nil {
-		return nil, execErr
+	if err != nil {
+		return nil, err
 	}
 
 	if q.OrderBy != "" {
-		col := -1
-		for i, label := range res.Columns {
-			if strings.EqualFold(label, q.OrderBy) {
-				col = i
-				break
-			}
-		}
-		if col < 0 {
+		if p.orderCol < 0 {
 			return nil, fmt.Errorf("%w: ORDER BY column %q is not in the select list", ErrSemantic, q.OrderBy)
 		}
-		sort.SliceStable(res.Rows, func(i, j int) bool {
-			if q.Desc {
-				return less(res.Rows[j][col], res.Rows[i][col])
-			}
-			return less(res.Rows[i][col], res.Rows[j][col])
-		})
+		if q.GroupBy != nil || len(p.aggs) > 0 { // execTopK already emitted its rows in order
+			col := p.orderCol
+			sort.SliceStable(res.Rows, func(i, j int) bool {
+				if q.Desc {
+					return less(res.Rows[j][col], res.Rows[i][col])
+				}
+				return less(res.Rows[i][col], res.Rows[j][col])
+			})
+		}
 	}
 	if q.Limit >= 0 && len(res.Rows) > q.Limit {
 		res.Rows = res.Rows[:q.Limit]
@@ -570,71 +509,211 @@ func (e *Engine) exec(ctx context.Context, q *Query, c *compiledExpr, v *reciped
 	return res, nil
 }
 
-// forEach visits candidate recipes, honoring the chosen index and
-// checking ctx every cancelCheckInterval visits so a slow scan aborts
-// promptly once its deadline passes.
-func (e *Engine) forEach(ctx context.Context, plan scanPlan, res *Result, v *recipedb.View, fn func(*recipedb.Recipe) error) error {
+// walk visits the scan's candidates in ascending-ID order, counting
+// each in res.Scanned and checking ctx every cancelCheckInterval visits
+// so a slow scan aborts promptly once its deadline passes.
+func walk(ctx context.Context, sc scan, v *recipedb.View, res *Result, visit func(*recipedb.Recipe) error) error {
 	done := ctx.Done()
-	if plan.useIngredient {
-		for i, rid := range v.IngredientRecipes(plan.ingredient) {
-			if done != nil && i%cancelCheckInterval == 0 {
+	scanned := 0
+	defer func() { res.Scanned += scanned }()
+	var ids []int
+	switch {
+	case sc.useIngredient:
+		ids = v.IngredientRecipes(sc.ingredient)
+	case sc.region != recipedb.World:
+		ids = v.RegionPage(sc.region, 0, v.RegionLen(sc.region))
+	default: // every live slot
+		for id, n := 0, v.Slots(); id < n; id++ {
+			rec := v.Recipe(id)
+			if rec.Deleted {
+				continue
+			}
+			if done != nil && scanned%cancelCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("%w: %w", ErrCanceled, err)
 				}
 			}
-			rec := v.Recipe(rid)
-			if plan.region != recipedb.World && rec.Region != plan.region {
-				continue // region check is free; skip before counting
-			}
-			res.Scanned++
-			if err := fn(rec); err != nil {
+			scanned++
+			if err := visit(rec); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	var visitErr error
-	visited := 0
-	v.ForEachInRegion(plan.region, func(rec *recipedb.Recipe) {
-		if visitErr != nil {
-			return
-		}
-		if done != nil && visited%cancelCheckInterval == 0 {
+	for i, rid := range ids {
+		if done != nil && i%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				visitErr = fmt.Errorf("%w: %w", ErrCanceled, err)
-				return
+				return fmt.Errorf("%w: %w", ErrCanceled, err)
 			}
 		}
-		visited++
-		res.Scanned++
-		visitErr = fn(rec)
-	})
-	return visitErr
-}
-
-// execScan streams plain projections.
-func (e *Engine) execScan(ctx context.Context, q *Query, c *compiledExpr, items []SelectItem, plan scanPlan, res *Result, v *recipedb.View) error {
-	// Fast path: with no ORDER BY the LIMIT can stop the scan early.
-	stopEarly := q.OrderBy == "" && q.Limit >= 0
-	return e.forEach(ctx, plan, res, v, func(rec *recipedb.Recipe) error {
-		if stopEarly && len(res.Rows) >= q.Limit {
-			return nil
+		rec := v.Recipe(rid)
+		if sc.region != recipedb.World && rec.Region != sc.region {
+			continue // a posting list filtered by region; the check is free
 		}
-		ok, err := e.matches(c, rec)
-		if err != nil || !ok {
+		scanned++
+		if err := visit(rec); err != nil {
 			return err
 		}
-		row := make([]Value, len(items))
-		for i, it := range items {
-			v, err := e.fieldValue(rec, it.Field)
-			if err != nil {
+	}
+	return nil
+}
+
+// execScan streams plain projections in scan order. Once LIMIT rows are
+// in, the walk still visits the remaining candidates, so Scanned counts
+// every candidate, but nothing more is evaluated for them.
+func (e *Engine) execScan(ctx context.Context, p *plan, sc scan, res *Result, v *recipedb.View) error {
+	limit := p.q.Limit
+	return walk(ctx, sc, v, res, func(rec *recipedb.Recipe) error {
+		if limit >= 0 && len(res.Rows) >= limit {
+			return nil
+		}
+		if sc.pred != nil {
+			if ok, err := sc.pred(rec); err != nil || !ok {
 				return err
 			}
-			row[i] = v
+		}
+		row := make([]Value, len(p.items))
+		for i, it := range p.items {
+			row[i] = e.value(rec, it.Field)
 		}
 		res.Rows = append(res.Rows, row)
 		return nil
 	})
+}
+
+// candidate is a matching row held by execTopK: its recipe, its typed
+// sort key and its position among the matches.
+type candidate struct {
+	rec *recipedb.Recipe
+	num float64
+	str string
+	pos int
+}
+
+// topK keeps the k matches that come first in ORDER BY order, as a heap
+// whose root is the last of them.
+type topK struct {
+	k      int
+	desc   bool
+	strKey bool
+	h      []candidate
+}
+
+// before reports whether a sorts ahead of b: by key, then by scan
+// position — the order sort.SliceStable gives.
+func (t *topK) before(a, b *candidate) bool {
+	var lt, gt bool
+	if t.strKey {
+		lt, gt = a.str < b.str, b.str < a.str
+	} else {
+		lt, gt = a.num < b.num, b.num < a.num
+	}
+	if t.desc {
+		lt, gt = gt, lt
+	}
+	if lt || gt {
+		return lt
+	}
+	return a.pos < b.pos
+}
+
+func (t *topK) offer(c candidate) {
+	if len(t.h) < t.k {
+		t.h = append(t.h, c)
+		if len(t.h) == t.k {
+			for i := len(t.h)/2 - 1; i >= 0; i-- {
+				t.down(i)
+			}
+		}
+		return
+	}
+	if t.k > 0 && t.before(&c, &t.h[0]) {
+		t.h[0] = c
+		t.down(0)
+	}
+}
+
+// down restores the heap below i: every node sorts after its children.
+func (t *topK) down(i int) {
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(t.h) && t.before(&t.h[last], &t.h[c]) {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		t.h[i], t.h[last] = t.h[last], t.h[i]
+		i = last
+	}
+}
+
+// execTopK is plain projection under ORDER BY. Matches enter a bounded
+// selection on the typed sort key, ties broken by scan position, and
+// only the survivors become rows: the rows and order SliceStable then
+// LIMIT would give, because the keys — ints, strings and finite scores
+// — are totally ordered. Without LIMIT every match survives.
+func (e *Engine) execTopK(ctx context.Context, p *plan, sc scan, res *Result, v *recipedb.View) error {
+	k := p.q.Limit
+	if k < 0 {
+		k = sc.candidates(v)
+	}
+	var field Field
+	if p.orderCol >= 0 {
+		field = p.items[p.orderCol].Field
+	} else {
+		k = 0 // the ORDER BY error follows the scan, which only evaluates
+	}
+	t := &topK{k: k, desc: p.q.Desc, strKey: !numericField(field)}
+	t.h = make([]candidate, 0, min(k, sc.candidates(v)))
+	matches := 0
+	err := walk(ctx, sc, v, res, func(rec *recipedb.Recipe) error {
+		if sc.pred != nil {
+			if ok, err := sc.pred(rec); err != nil || !ok {
+				return err
+			}
+		}
+		matches++
+		if k == 0 {
+			return nil
+		}
+		c := candidate{rec: rec, pos: matches}
+		if t.strKey {
+			c.str = e.value(rec, field).Str
+		} else {
+			c.num = e.number(rec, field)
+		}
+		t.offer(c)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(t.h) == 0 {
+		if matches > 0 {
+			res.Rows = [][]Value{} // LIMIT 0 cut every match: empty, not absent
+		}
+		return nil
+	}
+	slices.SortFunc(t.h, func(a, b candidate) int {
+		if t.before(&a, &b) {
+			return -1
+		}
+		return 1 // positions differ, so candidates never tie
+	})
+	n := len(p.items)
+	cells := make([]Value, len(t.h)*n)
+	res.Rows = make([][]Value, len(t.h))
+	for i := range t.h {
+		row := cells[i*n : (i+1)*n : (i+1)*n]
+		for j, it := range p.items {
+			row[j] = e.value(t.h[i].rec, it.Field)
+		}
+		res.Rows[i] = row
+	}
+	return nil
 }
 
 // aggState accumulates one aggregate column.
@@ -691,96 +770,160 @@ func (a *aggState) final(fn AggFunc, field Field) Value {
 	return Value{}
 }
 
+// aggCol is one aggregate column of a plan: where its state lives and
+// what it adds per matching row.
+type aggCol struct {
+	col   int
+	field Field
+	// count: only the row count is read back (final), so it is all
+	// that is kept. star: the input is 1. Otherwise field is numeric: a
+	// plan aggregating a non-numeric field other than by count raises
+	// its matchErr before accumulating.
+	count, star bool
+}
+
 // accumulate feeds one matching recipe into a row of aggregate states.
-func (e *Engine) accumulate(items []SelectItem, states []aggState, rec *recipedb.Recipe) error {
-	for i, it := range items {
-		if it.Agg == nil {
-			continue
+func (e *Engine) accumulate(aggs []aggCol, states []aggState, rec *recipedb.Recipe) {
+	for _, a := range aggs {
+		switch {
+		case a.count:
+			states[a.col].count++
+		case a.star:
+			states[a.col].add(1)
+		default:
+			states[a.col].add(e.number(rec, a.field))
 		}
-		if it.Star { // count(*)
-			states[i].add(1)
-			continue
-		}
-		v, err := e.fieldValue(rec, it.Field)
-		if err != nil {
-			return err
-		}
-		f, ok := v.asFloat()
-		if !ok {
-			// count(name) etc.: count non-numeric presence.
-			f = 1
-			if *it.Agg != AggCount {
-				return fmt.Errorf("%w: %s over non-numeric field %s", ErrSemantic, it.Agg, it.Field)
-			}
-		}
-		states[i].add(f)
 	}
-	return nil
 }
 
 // execAggregate computes a single aggregate row.
-func (e *Engine) execAggregate(ctx context.Context, q *Query, c *compiledExpr, items []SelectItem, plan scanPlan, res *Result, v *recipedb.View) error {
-	states := make([]aggState, len(items))
-	err := e.forEach(ctx, plan, res, v, func(rec *recipedb.Recipe) error {
-		ok, err := e.matches(c, rec)
-		if err != nil || !ok {
-			return err
+func (e *Engine) execAggregate(ctx context.Context, p *plan, sc scan, res *Result, v *recipedb.View) error {
+	states := make([]aggState, len(p.items))
+	err := walk(ctx, sc, v, res, func(rec *recipedb.Recipe) error {
+		if sc.pred != nil {
+			if ok, err := sc.pred(rec); err != nil || !ok {
+				return err
+			}
 		}
-		return e.accumulate(items, states, rec)
+		if p.matchErr != nil {
+			return p.matchErr
+		}
+		e.accumulate(p.aggs, states, rec)
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	row := make([]Value, len(items))
-	for i, it := range items {
+	row := make([]Value, len(p.items))
+	for i, it := range p.items {
 		row[i] = states[i].final(*it.Agg, it.Field)
 	}
-	res.Rows = append(res.Rows, row)
+	res.Rows = [][]Value{row}
 	return nil
 }
 
-// execGrouped computes GROUP BY rows.
-func (e *Engine) execGrouped(ctx context.Context, q *Query, c *compiledExpr, items []SelectItem, plan scanPlan, res *Result, v *recipedb.View) error {
-	type group struct {
-		key    Value
-		states []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
+// group is one GROUP BY bucket.
+type group struct {
+	key Value
+	// text is key.String(): groups are merged and ordered by it.
+	text   string
+	states []aggState
+}
 
-	err := e.forEach(ctx, plan, res, v, func(rec *recipedb.Recipe) error {
-		ok, err := e.matches(c, rec)
-		if err != nil || !ok {
-			return err
+// execGrouped computes GROUP BY rows. Region and source keys index a
+// dense array of groups by their enum, allocated in one piece; other
+// keys go through a map on the typed key, so a key's text is formatted
+// once per distinct value, not per row. Groups come out ordered by key
+// text.
+func (e *Engine) execGrouped(ctx context.Context, p *plan, sc scan, res *Result, v *recipedb.View) error {
+	field := *p.q.GroupBy
+	n := len(p.items)
+	var groups []*group
+	var dense []group
+	switch field {
+	case FieldRegion:
+		dense = make([]group, len(regionCodes))
+	case FieldSource:
+		dense = make([]group, len(sourceNames))
+	}
+	denseStates := make([]aggState, len(dense)*n)
+	var byText map[string]*group
+	var byNum map[uint64]*group
+	// find returns the group whose key text is key's, creating it.
+	find := func(key Value) *group {
+		text := key.String()
+		if g := byText[text]; g != nil {
+			return g
 		}
-		keyVal, err := e.fieldValue(rec, *q.GroupBy)
-		if err != nil {
-			return err
+		if byText == nil {
+			byText = make(map[string]*group)
 		}
-		k := keyVal.String()
-		g, ok2 := groups[k]
-		if !ok2 {
-			g = &group{key: keyVal, states: make([]aggState, len(items))}
-			groups[k] = g
-			order = append(order, k)
+		g := &group{key: key, text: text, states: make([]aggState, n)}
+		byText[text] = g
+		groups = append(groups, g)
+		return g
+	}
+	err := walk(ctx, sc, v, res, func(rec *recipedb.Recipe) error {
+		if sc.pred != nil {
+			if ok, err := sc.pred(rec); err != nil || !ok {
+				return err
+			}
 		}
-		return e.accumulate(items, g.states, rec)
+		if p.matchErr != nil {
+			return p.matchErr
+		}
+		var g *group
+		switch field {
+		case FieldRegion, FieldSource:
+			i := int(rec.Region)
+			if field == FieldSource {
+				i = int(rec.Source)
+			}
+			if uint(i) >= uint(len(dense)) {
+				g = find(e.value(rec, field))
+				break
+			}
+			if g = &dense[i]; g.states == nil {
+				g.key = e.value(rec, field)
+				g.text = g.key.Str
+				g.states = denseStates[i*n : (i+1)*n : (i+1)*n]
+				groups = append(groups, g)
+			}
+		case FieldName:
+			g = find(stringVal(rec.Name))
+		default: // numeric: score keys merge when their text is equal
+			key := e.value(rec, field)
+			bits := uint64(key.Int)
+			if key.Kind == KindFloat {
+				bits = math.Float64bits(key.Float)
+			}
+			if g = byNum[bits]; g == nil {
+				if byNum == nil {
+					byNum = make(map[uint64]*group)
+				}
+				g = find(key)
+				byNum[bits] = g
+			}
+		}
+		e.accumulate(p.aggs, g.states, rec)
+		return nil
 	})
-	if err != nil {
+	if err != nil || len(groups) == 0 {
 		return err
 	}
-	sort.Strings(order) // deterministic default order
-	for _, k := range order {
-		g := groups[k]
-		row := make([]Value, len(items))
-		for i, it := range items {
+	slices.SortFunc(groups, func(a, b *group) int { return strings.Compare(a.text, b.text) })
+	cells := make([]Value, len(groups)*n)
+	res.Rows = make([][]Value, len(groups))
+	for gi, g := range groups {
+		row := cells[gi*n : (gi+1)*n : (gi+1)*n]
+		for i, it := range p.items {
 			if it.Agg == nil {
 				row[i] = g.key
 				continue
 			}
 			row[i] = g.states[i].final(*it.Agg, it.Field)
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows[gi] = row
 	}
 	return nil
 }

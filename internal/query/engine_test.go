@@ -202,7 +202,7 @@ func TestOrderByAndLimit(t *testing.T) {
 	if res.Rows[0][0].Str != "chana masala" || res.Rows[1][0].Str != "pasta marinara" {
 		t.Errorf("rows = %v", res.Rows)
 	}
-	// LIMIT without ORDER BY stops the scan early.
+	// LIMIT without ORDER BY stops evaluating once LIMIT rows are in.
 	res = f.mustRun(t, "SELECT name FROM recipes LIMIT 1")
 	if len(res.Rows) != 1 {
 		t.Errorf("rows = %d", len(res.Rows))

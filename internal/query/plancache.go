@@ -11,15 +11,14 @@ import (
 // the working set while bounding memory.
 const DefaultPlanCacheCapacity = 256
 
-// cachedPlan is one fully-front-loaded statement: the parse tree plus
-// the bound expression (function arguments resolved to catalog IDs and
-// score usage checked). Both are immutable after construction — the
-// executor never mutates them — so one cached plan serves concurrent
-// Runs.
+// cachedPlan is one fully-front-loaded statement: the parse tree bound
+// and compiled into its scan kernels (function arguments resolved to
+// catalog IDs, score usage checked, residual predicates built). The
+// plan is immutable after construction — the executor never mutates
+// it — so one cached plan serves concurrent Runs.
 type cachedPlan struct {
-	key string
-	q   *Query
-	c   *compiledExpr
+	key  string
+	plan *plan
 }
 
 // planCache is a mutex-guarded LRU keyed by normalized statement text.

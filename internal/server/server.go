@@ -905,6 +905,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		rows[i] = cells
 	}
+	// The result's version, not the one versionGate stamped before the
+	// engine ran: a write in between would tear header from body. It is
+	// never below the gate's, so the X-Min-Version floor still holds.
+	w.Header().Set(CorpusVersionHeader, strconv.FormatUint(res.Version, 10))
 	writeJSON(w, map[string]interface{}{
 		"columns": res.Columns,
 		"rows":    rows,
